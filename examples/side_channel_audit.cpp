@@ -52,6 +52,7 @@ AuditResult run_once(const host::FuncNetwork& net, u64 input_seed) {
   accel::GuardNnDevice device("audit-dev", manufacturer, dram, Bytes{0x22});
   host::RemoteUser user(manufacturer.public_key(), Bytes{0x23});
   host::HostScheduler scheduler(device);
+  device.set_access_trace(true);  // the audit reads the session's trace
 
   if (!user.attest_device(device.get_pk())) std::abort();
   if (!user.complete_session(device.init_session(user.begin_session(), true)))

@@ -195,6 +195,7 @@ InitSessionResponse GuardNnDevice::init_session(
       slot_index * kSessionDramBytes,
       {}, {}, {}, AttestationChain{}, false, SealHashCache{}});
   slot.session->mpu.set_byte_counters(&mpu_counters_);
+  slot.session->mpu.set_trace_enabled(trace_accesses_);
   slot.session->chain.reset();
 
   const SessionId sid = make_id(slot_index, slot.generation);

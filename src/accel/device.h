@@ -315,7 +315,14 @@ class GuardNnDevice {
   }
   const memprot::VnGenerator& vn_generator(SessionId sid) const;
   double elapsed_ms() const { return latency_.total_ms(); }
-  /// Memory access trace of a session (the observable side channel).
+  /// Records the MPU access trace of every session opened from now on (off
+  /// by default; see MemoryProtectionUnit::access_trace).
+  void set_access_trace(bool enabled) {
+    std::lock_guard<std::mutex> lock(mu_);
+    trace_accesses_ = enabled;
+  }
+  /// Memory access trace of a session (the observable side channel); empty
+  /// unless set_access_trace(true) preceded its InitSession.
   const std::vector<std::pair<u64, bool>>& access_trace() const {
     return access_trace(current_session());
   }
@@ -456,6 +463,7 @@ class GuardNnDevice {
   /// Device-lifetime MPU byte counters; each session's MPU is pointed at
   /// this right after construction (see InitSession).
   MpuByteCounters mpu_counters_;
+  bool trace_accesses_ = false;
   std::array<Slot, kMaxSessions> slots_;
   /// Atomic so the lock-free legacy wrappers can read it while InitSession
   /// publishes a new id under mu_ (the id is validated under the lock anyway).

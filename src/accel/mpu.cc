@@ -50,8 +50,7 @@ void MemoryProtectionUnit::write_chunks(u64 address, BytesView plaintext,
       u8 tag_bytes[kGroupChunks * 8];
       for (std::size_t c = 0; c < n_chunks; ++c) {
         store_be64(tag_bytes + c * 8, tags[c]);
-        trace_.emplace_back(mac_slot_address(group_addr + c * kChunkBytes),
-                            true);
+        note_access(mac_slot_address(group_addr + c * kChunkBytes), true);
       }
       memory_.write(mac_slot_address(group_addr),
                     BytesView(tag_bytes, n_chunks * 8));
@@ -67,7 +66,7 @@ void MemoryProtectionUnit::write(u64 address, BytesView plaintext, u64 version) 
   if (integrity_enabled_ && address % kChunkBytes != 0)
     throw std::invalid_argument("MPU::write: integrity requires 512 B alignment");
 
-  trace_.emplace_back(address, true);
+  note_access(address, true);
   write_chunks(address, plaintext, version);
 }
 
@@ -88,8 +87,7 @@ bool MemoryProtectionUnit::verify_chunks(u64 address, BytesView data,
     memory_.read(mac_slot_address(address + off),
                  MutBytesView(stored, n_chunks * 8));
     for (std::size_t c = 0; c < n_chunks; ++c) {
-      trace_.emplace_back(mac_slot_address(address + off + c * kChunkBytes),
-                          false);
+      note_access(mac_slot_address(address + off + c * kChunkBytes), false);
       if (load_be64(stored + c * 8) != tags[c]) {
         poisoned_ = true;
         return false;
@@ -107,7 +105,7 @@ bool MemoryProtectionUnit::read(u64 address, MutBytesView out, u64 version) {
     throw std::invalid_argument("MPU::read: integrity requires 512 B alignment");
 
   memory_.read(address, out);
-  trace_.emplace_back(address, false);
+  note_access(address, false);
 
   if (integrity_enabled_ && !verify_chunks(address, out, version)) return false;
 
@@ -132,7 +130,7 @@ MpuExportStream::MpuExportStream(MemoryProtectionUnit& mpu, u64 address,
     throw std::invalid_argument(
         "MpuExportStream: integrity requires 512 B alignment");
   ok_ = !mpu_.poisoned_;
-  mpu_.trace_.emplace_back(address, false);
+  mpu_.note_access(address, false);
 }
 
 MpuExportStream::~MpuExportStream() { secure_zero(carry_, sizeof(carry_)); }
@@ -237,7 +235,7 @@ MpuImportStream::MpuImportStream(MemoryProtectionUnit& mpu, u64 address,
   if (mpu_.integrity_enabled_ && address % MemoryProtectionUnit::kChunkBytes != 0)
     throw std::invalid_argument(
         "MpuImportStream: integrity requires 512 B alignment");
-  mpu_.trace_.emplace_back(address, true);
+  mpu_.note_access(address, true);
 }
 
 MpuImportStream::~MpuImportStream() { secure_zero(staging_, sizeof(staging_)); }

@@ -79,9 +79,11 @@ class MemoryProtectionUnit {
 
   /// Sequence of (address, is_write) the MPU issued — the memory side
   /// channel an adversary can observe. Tests assert it is independent of
-  /// data values.
+  /// data values. Recorded only after set_trace_enabled(true): a long-lived
+  /// session would otherwise grow it by every access it ever makes.
   const std::vector<std::pair<u64, bool>>& access_trace() const { return trace_; }
   void clear_trace() { trace_.clear(); }
+  void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
 
   /// Attaches the device-owned telemetry counters (nullptr detaches). Set
   /// once right after session construction, before any traffic; the MPU does
@@ -91,6 +93,10 @@ class MemoryProtectionUnit {
  private:
   friend class MpuExportStream;
   friend class MpuImportStream;
+
+  void note_access(u64 address, bool is_write) {
+    if (trace_enabled_) trace_.emplace_back(address, is_write);
+  }
 
   u64 mac_slot_address(u64 chunk_address) const {
     return kMacRegionBase + chunk_address / kChunkBytes * 8;
@@ -125,6 +131,7 @@ class MemoryProtectionUnit {
   bool integrity_enabled_;
   bool poisoned_ = false;
   MpuByteCounters* counters_ = nullptr;
+  bool trace_enabled_ = false;
   std::vector<std::pair<u64, bool>> trace_;
 };
 

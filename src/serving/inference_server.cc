@@ -122,13 +122,13 @@ InferenceServer::~InferenceServer() {
 
   // Fail whatever the workers never picked up. Disconnected tenants are no
   // longer in the shard maps but may still sit in ready queues with queued
-  // requests; resolve_all clears the deque, so a tenant reachable both ways
+  // requests; drain_orphans clears the deque, so a tenant reachable both ways
   // is drained once.
   table_.for_each_shard_locked([this](Shard& shard) {
     for (auto& [id, tenant] : shard.tenants)
-      resolve_all(tenant->pending, RequestOutcome::kShutdown);
+      drain_orphans(tenant->pending, RequestOutcome::kShutdown);
     for (auto& tenant : shard.ready)
-      resolve_all(tenant->pending, RequestOutcome::kShutdown);
+      drain_orphans(tenant->pending, RequestOutcome::kShutdown);
   });
 }
 
@@ -170,8 +170,13 @@ void InferenceServer::resolve_one(Request& request, InferenceResult result) {
   request.promise.set_value(std::move(result));
 }
 
-void InferenceServer::resolve_all(std::deque<Request>& requests,
-                                  RequestOutcome outcome) {
+void InferenceServer::drain_orphans(std::deque<Request>& requests,
+                                    RequestOutcome outcome) {
+  if (requests.empty()) return;
+  std::size_t bytes = 0;
+  for (const Request& request : requests) bytes += request.charged_bytes;
+  admission_.release(requests.size(), bytes);
+  if (outcome == RequestOutcome::kTimeout) ins_.timeouts.inc(requests.size());
   for (Request& request : requests) {
     InferenceResult result;
     result.outcome = outcome;
@@ -182,65 +187,101 @@ void InferenceServer::resolve_all(std::deque<Request>& requests,
   requests.clear();
 }
 
+void InferenceServer::close_locked(Tenant& tenant,
+                                   std::deque<Request>& orphaned) {
+  tenant.open = false;
+  if (tenant.scheduled) return;
+  for (Request& request : tenant.pending) orphaned.push_back(std::move(request));
+  tenant.pending.clear();
+}
+
 accel::GetPkResponse InferenceServer::get_pk(std::size_t device_index) {
   DeviceNode& node = *devices_.at(device_index);
   std::lock_guard<std::mutex> busy(node.busy);
   return node.device.get_pk();
 }
 
+accel::InitSessionResponse InferenceServer::open_session(
+    std::size_t device_index, const crypto::AffinePoint& user_ephemeral,
+    bool integrity, const std::function<bool(accel::SessionId)>& on_open) {
+  DeviceNode& node = *devices_[device_index];
+  // The eviction retry loops because a concurrent connect may steal a freed
+  // slot; each iteration evicts another idle tenant, so it is bounded by the
+  // table size and stops when no victim remains (ROADMAP "session eviction
+  // policy").
+  while (true) {
+    accel::InitSessionResponse response;
+    {
+      std::lock_guard<std::mutex> busy(node.busy);
+      response.status = fault_gate(device_index);
+      if (response.status != accel::DeviceStatus::kOk) return response;
+      response = node.device.init_session(user_ephemeral, integrity);
+      if (response.status == accel::DeviceStatus::kOk) {
+        if (on_open(response.session_id)) return response;
+        node.device.close_session(response.session_id);
+        response = accel::InitSessionResponse{};
+        response.status = accel::DeviceStatus::kNoSession;
+        return response;
+      }
+    }
+    if (response.status != accel::DeviceStatus::kNoResources ||
+        !config_.evict_idle_sessions || !evict_idle_tenant(device_index))
+      return response;
+  }
+}
+
+std::shared_ptr<InferenceServer::Tenant> InferenceServer::register_tenant(
+    TenantId id, std::size_t device_index, accel::SessionId session,
+    const ModelState& model) {
+  auto entry = std::make_shared<Tenant>(id, devices_[device_index]->device,
+                                        device_index, session);
+  // Resolve the labeled per-tenant counter once, on the control plane, so the
+  // worker hot path is one relaxed increment.
+  entry->requests_counter = &metrics_.counter(
+      "serving_tenant_requests_total", {{"tenant", std::to_string(id)}});
+  entry->model = model;
+  Shard& shard = table_.shard_for(id);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (!shard.tenants.emplace(id, entry).second) return nullptr;
+  }
+  devices_[device_index]->tenant_count.fetch_add(1, std::memory_order_relaxed);
+  return entry;
+}
+
+accel::DeviceStatus InferenceServer::close_session(std::size_t device_index,
+                                                   accel::SessionId session) {
+  if (faults_.dead(device_index)) return accel::DeviceStatus::kUnavailable;
+  DeviceNode& node = *devices_[device_index];
+  std::lock_guard<std::mutex> busy(node.busy);
+  return node.device.close_session(session);
+}
+
 InferenceServer::ConnectResult InferenceServer::connect(
     const crypto::AffinePoint& user_ephemeral, bool integrity) {
   ConnectResult result;
   // Least-loaded placement across the *routable* fleet (atomic counters —
-  // no lock). Quarantined and dead devices never receive new tenants.
-  // InitSession and tenant registration happen under one hold of the
-  // device's busy lock, so reset_device (which purges tenants and wipes the
-  // session table under the same lock) can never interleave between "session
-  // created" and "tenant recorded" and leave a live tenant entry pointing at
-  // a zeroized session. The eviction retry loops because a concurrent
-  // connect may steal a freed slot; each iteration evicts another idle
-  // tenant, so it is bounded by the table size and stops when no victim
-  // remains (ROADMAP "session eviction policy"). A device that dies under
-  // us (fault gate answers kUnavailable and it is no longer routable)
-  // re-picks a surviving device instead of failing the connect.
+  // no lock). Quarantined and dead devices never receive new tenants. The
+  // tenant is registered inside open_session's busy hold, so reset_device
+  // (which purges tenants and wipes the session table under the same lock)
+  // can never interleave between "session created" and "tenant recorded"
+  // and leave a live tenant entry pointing at a zeroized session. A device
+  // that dies under us (fault gate answers kUnavailable and it is no longer
+  // routable) re-picks a surviving device instead of failing the connect.
   while (true) {
     const std::size_t best = pick_routable_device();
     if (best == devices_.size()) {
       result.response.status = accel::DeviceStatus::kUnavailable;
       return result;
     }
-    DeviceNode& node = *devices_[best];
     result.device_index = best;
-    {
-      std::lock_guard<std::mutex> busy(node.busy);
-      const accel::DeviceStatus gate = fault_gate(best);
-      if (gate != accel::DeviceStatus::kOk) {
-        result.response.status = gate;
-        if (gate == accel::DeviceStatus::kUnavailable && !routable(best))
-          continue;  // died under us — try a surviving device
-        return result;
-      }
-      result.response = node.device.init_session(user_ephemeral, integrity);
-      if (result.response.status == accel::DeviceStatus::kOk) {
-        const TenantId id = next_tenant_.fetch_add(1, std::memory_order_relaxed);
-        auto tenant = std::make_shared<Tenant>(id, node.device, best,
-                                               result.response.session_id);
-        // Resolve the labeled per-tenant counter once, on the control plane,
-        // so the worker hot path is one relaxed increment.
-        tenant->requests_counter = &metrics_.counter(
-            "serving_tenant_requests_total", {{"tenant", std::to_string(id)}});
-        Shard& shard = table_.shard_for(id);
-        {
-          std::lock_guard<std::mutex> lock(shard.mu);
-          shard.tenants.emplace(id, std::move(tenant));
-        }
-        node.tenant_count.fetch_add(1, std::memory_order_relaxed);
-        result.tenant = id;
-        return result;
-      }
-    }
-    if (result.response.status != accel::DeviceStatus::kNoResources ||
-        !config_.evict_idle_sessions || !evict_idle_tenant(best))
+    result.response = open_session(
+        best, user_ephemeral, integrity, [&](accel::SessionId session) {
+          result.tenant = next_tenant_.fetch_add(1, std::memory_order_relaxed);
+          return register_tenant(result.tenant, best, session, {}) != nullptr;
+        });
+    if (result.response.status != accel::DeviceStatus::kUnavailable ||
+        routable(best))
       return result;
   }
 }
@@ -264,80 +305,33 @@ InferenceServer::ConnectResult InferenceServer::reconnect(
   // fall back to least-loaded routable placement when it has since gone
   // down too.
   const std::size_t target =
-      record.has_target && record.preferred_device < devices_.size() &&
-              routable(record.preferred_device)
-          ? record.preferred_device
+      record.preferred_device && routable(*record.preferred_device)
+          ? *record.preferred_device
           : pick_routable_device();
   if (target == devices_.size()) {
     result.response.status = accel::DeviceStatus::kUnavailable;
     return result;
   }
-  DeviceNode& node = *devices_[target];
   result.device_index = target;
-  // Same registration discipline as connect(): InitSession + tenant
-  // registration under one busy hold, with the bounded idle-eviction retry.
-  while (true) {
-    {
-      std::lock_guard<std::mutex> busy(node.busy);
-      const accel::DeviceStatus gate = fault_gate(target);
-      if (gate != accel::DeviceStatus::kOk) {
-        result.response.status = gate;
-        return result;  // retryable: call reconnect() again
-      }
-      result.response = node.device.init_session(user_ephemeral, integrity);
-      if (result.response.status == accel::DeviceStatus::kOk) {
-        auto entry = std::make_shared<Tenant>(tenant, node.device, target,
-                                              result.response.session_id);
-        entry->requests_counter =
-            &metrics_.counter("serving_tenant_requests_total",
-                              {{"tenant", std::to_string(tenant)}});
-        entry->has_model_hash = record.has_model;
-        entry->model_hash = record.model_hash;
-        if (record.has_content) entry->model_content = record.content;
-        Shard& shard = table_.shard_for(tenant);
-        bool inserted;
-        {
-          std::lock_guard<std::mutex> lock(shard.mu);
-          inserted = shard.tenants.emplace(tenant, entry).second;
-        }
-        if (!inserted) {
-          // A concurrent reconnect for the same id won the race; give its
-          // session back and report the id as already live.
-          node.device.close_session(result.response.session_id);
-          result.response = accel::InitSessionResponse{};
-          result.response.status = accel::DeviceStatus::kNoSession;
-          return result;
-        }
-        node.tenant_count.fetch_add(1, std::memory_order_relaxed);
-        result.tenant = tenant;
-      }
-    }
-    if (result.tenant) break;
-    if (result.response.status != accel::DeviceStatus::kNoResources ||
-        !config_.evict_idle_sessions || !evict_idle_tenant(target))
-      return result;
-  }
+  // Same registration discipline as connect(). A concurrent reconnect for the
+  // same id may win the registration: ours then gives its session back and
+  // reports kNoSession. A fault-gate failure is retryable: call reconnect()
+  // again.
+  std::shared_ptr<Tenant> entry;
+  result.response = open_session(
+      target, user_ephemeral, integrity, [&](accel::SessionId session) {
+        entry = register_tenant(tenant, target, session, record.model);
+        return entry != nullptr;
+      });
+  if (!entry) return result;
+  result.tenant = tenant;
   // Server-side model restore: when the tenant had a sealed replica, load it
   // into the fresh session (auto-replicating to `target` if the failover's
   // pre-provisioning didn't finish). Weights never cross the user link.
-  if (record.has_content && record.has_model) {
-    std::shared_ptr<const host::FuncNetwork> net;
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      auto it = net_cache_.find(record.model_hash);
-      if (it != net_cache_.end()) net = it->second;
-    }
-    if (net) {
-      ModelHandle handle;
-      handle.hash = record.model_hash;
-      handle.net = net;
-      handle.generation = node.device.device_generation();
-      handle.plan = plan_for(handle.hash, *net, handle.generation);
-      result.model_restored =
-          load_model_from_store(tenant, record.content, handle) ==
-          accel::DeviceStatus::kOk;
-    }
-  }
+  if (record.model.hash && record.model.content)
+    result.model_restored =
+        restore_model(*entry, *record.model.content, *record.model.hash) ==
+        accel::DeviceStatus::kOk;
   {
     std::lock_guard<std::mutex> lock(failover_mu_);
     failovers_.erase(tenant);
@@ -409,9 +403,8 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
       std::lock_guard<std::mutex> lock(shard.mu);
       if (entry->open) {
         entry->draining = false;
-        entry->scheduled = false;
-        if (!entry->pending.empty()) {
-          entry->scheduled = true;
+        entry->scheduled = !entry->pending.empty();
+        if (entry->scheduled) {
           shard.ready.push_back(entry);
           wake = true;
         }
@@ -423,20 +416,10 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
       }
     }
     if (wake) work_sem_.release();
-    if (!orphaned.empty()) {
-      std::size_t orphaned_bytes = 0;
-      for (const Request& request : orphaned)
-        orphaned_bytes += request.charged_bytes;
-      admission_.release(orphaned.size(), orphaned_bytes);
-      resolve_all(orphaned, orphan_outcome);
-    }
-    // Give the half-built target session back (keys zeroized); a dead target
-    // took its session table down with it.
-    if (target_session != accel::kInvalidSession &&
-        !faults_.dead(target_device)) {
-      std::lock_guard<std::mutex> busy(target.busy);
-      target.device.close_session(target_session);
-    }
+    drain_orphans(orphaned, orphan_outcome);
+    // Give the half-built target session back (keys zeroized).
+    if (target_session != accel::kInvalidSession)
+      close_session(target_device, target_session);
     if (degraded)
       ins_.migrations_failover.inc();
     else
@@ -454,27 +437,20 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
     return aborted;
   };
 
-  // Phase 2 — wait for the in-flight batch, then claim the tenant exactly
-  // like a worker would. Once draining, no worker re-claims it, so from the
-  // claim onward `scheduled == true` means "the migrating thread owns it".
+  // Phase 2 — wait for the in-flight batch (the run_batch tail signals
+  // `released` when it hands a draining tenant back), then claim the tenant
+  // exactly like a worker would. Once draining, no worker re-claims it, so
+  // from the claim onward `scheduled == true` means "the migrating thread
+  // owns it".
+  bool lost;
   {
-    bool claimed = false;
-    bool lost = false;
-    while (!claimed && !lost) {
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (!entry->open) {
-          lost = true;
-        } else if (!entry->scheduled) {
-          entry->scheduled = true;
-          claimed = true;
-        }
-      }
-      if (!claimed && !lost)
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    if (lost) return abort_migration(accel::DeviceStatus::kUnavailable);
+    std::unique_lock<std::mutex> lock(shard.mu);
+    entry->released.wait(lock,
+                         [&] { return !entry->open || !entry->scheduled; });
+    lost = !entry->open;
+    if (!lost) entry->scheduled = true;
   }
+  if (lost) return abort_migration(accel::DeviceStatus::kUnavailable);
   ins_.migration_drain_ms.record(
       std::chrono::duration<double, std::milli>(Clock::now() - mark).count());
 
@@ -483,61 +459,42 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   // current) and re-wrap it to the target over the attested handshake. A
   // model-less tenant (plan == nullptr — its FIFO is necessarily empty,
   // submits answer kNoModel) migrates as a pure session move.
-  std::shared_ptr<const host::ExecutionPlan> source_plan;
-  bool has_model = false;
-  crypto::Sha256Digest hash{};
-  std::optional<store::ContentId> content;
+  ModelState model;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    source_plan = entry->plan;
-    has_model = entry->has_model_hash;
-    hash = entry->model_hash;
-    content = entry->model_content;
+    if (entry->plan) model = entry->model;
   }
-  std::shared_ptr<const host::FuncNetwork> net;
-  if (source_plan && has_model) {
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      auto it = net_cache_.find(hash);
-      if (it != net_cache_.end()) net = it->second;
-    }
-    if (!net) return abort_migration(accel::DeviceStatus::kBadOperand);
-    if (!content) {
+  if (model.hash) {
+    if (!model.content) {
+      const std::shared_ptr<const host::FuncNetwork> net =
+          cached_net(*model.hash);
+      if (!net) return abort_migration(accel::DeviceStatus::kBadOperand);
       store::ContentId sealed{};
       const accel::DeviceStatus status = seal_tenant_model(
           tenant, host::serialize_descriptor(*net), sealed);
       if (status != accel::DeviceStatus::kOk) return abort_migration(status);
-      content = sealed;
+      model.content = sealed;
     }
     trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                   static_cast<u32>(source_device), 1);
     const accel::DeviceStatus status =
-        replicate_model(*content, target_device);
+        replicate_model(*model.content, target_device);
     if (status != accel::DeviceStatus::kOk) return abort_migration(status);
     trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                   static_cast<u32>(target_device), 2);
   }
 
   // Phase 4 — fresh session on the target with the user's *new* ECDHE share
-  // (a session cannot move between devices; its keys live in SRAM). Same
-  // bounded idle-eviction retry as connect().
+  // (a session cannot move between devices; its keys live in SRAM).
   u64 target_generation = 0;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> busy(target.busy);
-      const accel::DeviceStatus gate = fault_gate(target_device);
-      if (gate != accel::DeviceStatus::kOk) return abort_migration(gate);
-      result.response = target.device.init_session(user_ephemeral, integrity);
-      if (result.response.status == accel::DeviceStatus::kOk) {
-        target_session = result.response.session_id;
+  result.response = open_session(
+      target_device, user_ephemeral, integrity, [&](accel::SessionId session) {
+        target_session = session;
         target_generation = target.device.device_generation();
-      }
-    }
-    if (result.response.status == accel::DeviceStatus::kOk) break;
-    if (result.response.status != accel::DeviceStatus::kNoResources ||
-        !config_.evict_idle_sessions || !evict_idle_tenant(target_device))
-      return abort_migration(result.response.status);
-  }
+        return true;
+      });
+  if (result.response.status != accel::DeviceStatus::kOk)
+    return abort_migration(result.response.status);
   trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                 static_cast<u32>(target_device), 3);
 
@@ -547,31 +504,10 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   auto fresh = std::make_shared<Tenant>(tenant, target.device, target_device,
                                         target_session);
   fresh->requests_counter = entry->requests_counter;
-  if (source_plan && has_model && content) {
-    const std::optional<store::SealedBlob> blob =
-        model_store_.get(*content, target.device.store_binding());
-    if (!blob) return abort_migration(accel::DeviceStatus::kBadOperand);
-    const std::shared_ptr<const host::ExecutionPlan> target_plan =
-        plan_for(hash, *net, target_generation);
-    if (!target_plan) return abort_migration(accel::DeviceStatus::kBadOperand);
-    Bytes descriptor;
-    accel::DeviceStatus status;
-    {
-      std::lock_guard<std::mutex> busy(target.busy);
-      status = fault_gate(target_device);
-      if (status == accel::DeviceStatus::kOk)
-        status = target.device.unseal_model(
-            target_session, *blob, target_plan->weight_base, descriptor);
-    }
+  if (model.hash) {
+    const accel::DeviceStatus status =
+        restore_model(*fresh, *model.content, *model.hash);
     if (status != accel::DeviceStatus::kOk) return abort_migration(status);
-    const std::optional<host::ParsedDescriptor> parsed =
-        host::parse_descriptor(descriptor);
-    if (!parsed || !descriptor_matches(parsed->net, *net))
-      return abort_migration(accel::DeviceStatus::kBadOperand);
-    fresh->plan = target_plan;
-    fresh->has_model_hash = true;
-    fresh->model_hash = hash;
-    fresh->model_content = *content;
     result.model_restored = true;
   }
 
@@ -614,15 +550,10 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   ins_.migration_blackout_ms.record(
       std::chrono::duration<double, std::milli>(Clock::now() - mark).count());
 
-  // Phase 7 — retire the source session (keys zeroized device-side; a dead
-  // source took them down with its SRAM) and publish the move.
+  // Phase 7 — retire the source session and publish the move.
   devices_[source_device]->tenant_count.fetch_sub(1, std::memory_order_relaxed);
   target.tenant_count.fetch_add(1, std::memory_order_relaxed);
-  if (!faults_.dead(source_device)) {
-    DeviceNode& source = *devices_[source_device];
-    std::lock_guard<std::mutex> busy(source.busy);
-    source.device.close_session(entry->session);
-  }
+  close_session(source_device, entry->session);
   ins_.migrations_ok.inc();
   trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                 static_cast<u32>(target_device), 4);
@@ -645,13 +576,8 @@ accel::DeviceStatus InferenceServer::disconnect(TenantId tenant) {
     auto it = shard.tenants.find(tenant);
     if (it != shard.tenants.end() && it->second->open) {
       entry = it->second;
-      entry->open = false;
       shard.tenants.erase(it);
-      // Queued work: a worker that owns the tenant (scheduled) observes
-      // open == false at its next pickup and drains everything as kNoTenant.
-      // An unscheduled tenant will never be visited — drain it here so no
-      // promise is left dangling and the admission counters return.
-      if (!entry->scheduled) orphaned.swap(entry->pending);
+      close_locked(*entry, orphaned);
     }
   }
   if (!entry) {
@@ -663,18 +589,10 @@ accel::DeviceStatus InferenceServer::disconnect(TenantId tenant) {
   }
   devices_[entry->device_index]->tenant_count.fetch_sub(
       1, std::memory_order_relaxed);
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned) orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  resolve_all(orphaned, RequestOutcome::kNoTenant);
+  drain_orphans(orphaned, RequestOutcome::kNoTenant);
   // CloseSession waits for any in-flight batch (device busy lock), then
-  // zeroizes the slot's keys. A dead device cannot be reached — its keys
-  // died with it, which is just as final.
-  if (faults_.dead(entry->device_index))
-    return accel::DeviceStatus::kUnavailable;
-  DeviceNode& node = *devices_[entry->device_index];
-  std::lock_guard<std::mutex> busy(node.busy);
-  return node.device.close_session(entry->session);
+  // zeroizes the slot's keys.
+  return close_session(entry->device_index, entry->session);
 }
 
 crypto::Sha256Digest InferenceServer::model_hash(const host::FuncNetwork& net) {
@@ -755,11 +673,7 @@ ModelHandle InferenceServer::register_model(const host::FuncNetwork& net) {
   // rare recompile-after-reset path, so they share a cached copy instead of
   // each holding a private duplicate of the weights. The (large) copy is
   // made outside plan_mu_; a racing duplicate is dropped, first insert wins.
-  {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    auto it = net_cache_.find(handle.hash);
-    if (it != net_cache_.end()) handle.net = it->second;
-  }
+  handle.net = cached_net(handle.hash);
   if (!handle.net) {
     auto copy = std::make_shared<const host::FuncNetwork>(net);
     std::lock_guard<std::mutex> lock(plan_mu_);
@@ -785,10 +699,11 @@ std::shared_ptr<InferenceServer::Tenant> InferenceServer::find_tenant(
   return it->second;
 }
 
-void InferenceServer::touch(const std::shared_ptr<Tenant>& tenant) {
-  Shard& shard = table_.shard_for(tenant->id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  tenant->last_activity = Clock::now();
+std::shared_ptr<const host::FuncNetwork> InferenceServer::cached_net(
+    const crypto::Sha256Digest& hash) {
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  auto it = net_cache_.find(hash);
+  return it == net_cache_.end() ? nullptr : it->second;
 }
 
 accel::DeviceStatus InferenceServer::load_model(
@@ -813,8 +728,7 @@ accel::DeviceStatus InferenceServer::load_model(
   Shard& shard = table_.shard_for(tenant);
   std::lock_guard<std::mutex> lock(shard.mu);
   entry->plan = plan;
-  entry->has_model_hash = true;
-  entry->model_hash = model.hash;
+  entry->model.hash = model.hash;
   entry->last_activity = Clock::now();
   return status;
 }
@@ -851,7 +765,7 @@ accel::DeviceStatus InferenceServer::seal_tenant_model(
     // without one loses its model with the device and must re-upload).
     Shard& shard = table_.shard_for(tenant);
     std::lock_guard<std::mutex> lock(shard.mu);
-    entry->model_content = *content;
+    entry->model.content = *content;
     entry->last_activity = Clock::now();
   }
   return accel::DeviceStatus::kOk;
@@ -941,50 +855,50 @@ accel::DeviceStatus InferenceServer::load_model_from_store(
   if (!model.valid()) return accel::DeviceStatus::kBadOperand;
   const std::shared_ptr<Tenant> entry = find_tenant(tenant);
   if (!entry) return accel::DeviceStatus::kNoSession;
-  DeviceNode& node = *devices_[entry->device_index];
+  return restore_model(*entry, content, model.hash);
+}
 
+accel::DeviceStatus InferenceServer::restore_model(
+    Tenant& tenant, const store::ContentId& content,
+    const crypto::Sha256Digest& hash) {
+  const std::shared_ptr<const host::FuncNetwork> net = cached_net(hash);
+  if (!net) return accel::DeviceStatus::kBadOperand;
+  DeviceNode& node = *devices_[tenant.device_index];
   // Hot-model replication on demand: a tenant placed on a device that does
-  // not yet hold the model pulls a replica over the attested re-wrap path.
-  if (!model_store_.contains(content, node.device.store_binding())) {
-    const accel::DeviceStatus status =
-        replicate_model(content, entry->device_index);
-    if (status != accel::DeviceStatus::kOk) return status;
-  }
+  // not yet hold the model pulls a replica over the attested re-wrap path
+  // (kOk at once when the replica is already there).
+  accel::DeviceStatus status = replicate_model(content, tenant.device_index);
+  if (status != accel::DeviceStatus::kOk) return status;
   const std::optional<store::SealedBlob> blob =
       model_store_.get(content, node.device.store_binding());
   if (!blob) return accel::DeviceStatus::kBadOperand;
-
   const std::shared_ptr<const host::ExecutionPlan> plan =
-      resolve_plan(model, entry->device_index);
-  if (!plan) return accel::DeviceStatus::kBadOperand;
+      plan_for(hash, *net, node.device.device_generation());
 
   Bytes descriptor;
-  accel::DeviceStatus status;
   {
     std::lock_guard<std::mutex> busy(node.busy);
-    status = fault_gate(entry->device_index);
+    status = fault_gate(tenant.device_index);
     if (status == accel::DeviceStatus::kOk)
-      status = node.device.unseal_model(entry->session, *blob,
+      status = node.device.unseal_model(tenant.session, *blob,
                                         plan->weight_base, descriptor);
   }
   if (status != accel::DeviceStatus::kOk) return status;
 
-  // The stored model must actually be the one the handle describes: compare
-  // the unsealed (public) descriptor's structure against the registered
-  // network before pinning the plan, so a mismatched (content, handle) pair
-  // cannot silently serve garbage under a wrong-layout plan.
+  // The stored model must actually be the one `hash` names: compare the
+  // unsealed (public) descriptor's structure against the registered network
+  // before pinning the plan, so a mismatched (content, handle) pair cannot
+  // silently serve garbage under a wrong-layout plan.
   const std::optional<host::ParsedDescriptor> parsed =
       host::parse_descriptor(descriptor);
-  if (!parsed || !model.net || !descriptor_matches(parsed->net, *model.net))
+  if (!parsed || !descriptor_matches(parsed->net, *net))
     return accel::DeviceStatus::kBadOperand;
 
-  Shard& shard = table_.shard_for(tenant);
+  Shard& shard = table_.shard_for(tenant.id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  entry->plan = plan;
-  entry->has_model_hash = true;
-  entry->model_hash = model.hash;
-  entry->model_content = content;
-  entry->last_activity = Clock::now();
+  tenant.plan = plan;
+  tenant.model = {hash, content};
+  tenant.last_activity = Clock::now();
   return status;
 }
 
@@ -999,16 +913,13 @@ accel::DeviceStatus InferenceServer::reset_device(std::size_t index) {
     // admitted in between and survive with a wiped session. (busy -> shard
     // nesting is the sanctioned order; nothing acquires busy while holding
     // a shard mutex.) Purged tenants' queued requests resolve kNoTenant:
-    // worker-owned ones at the worker's next pickup, unowned ones here.
+    // owned ones (worker or migrating thread) at the owner's next pickup,
+    // unowned ones here.
     std::lock_guard<std::mutex> busy(node.busy);
     table_.for_each_shard_locked([&](Shard& shard) {
       for (auto it = shard.tenants.begin(); it != shard.tenants.end();) {
         if (it->second->device_index == index) {
-          it->second->open = false;
-          if (!it->second->scheduled)
-            for (Request& request : it->second->pending)
-              orphaned.push_back(std::move(request));
-          it->second->pending.clear();
+          close_locked(*it->second, orphaned);
           it = shard.tenants.erase(it);
         } else {
           ++it;
@@ -1018,22 +929,25 @@ accel::DeviceStatus InferenceServer::reset_device(std::size_t index) {
     node.tenant_count.store(0, std::memory_order_relaxed);
     status = node.device.reset();
   }
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned) orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  resolve_all(orphaned, RequestOutcome::kNoTenant);
-  // Prune plans no device generation can reach any more, so periodic resets
-  // do not accumulate dead (hash, generation) entries — each one pins a full
-  // packed-weight-blob copy.
-  u64 min_generation = ~0ull;
-  for (const auto& device : devices_)
-    min_generation = std::min(min_generation, device->device.device_generation());
+  drain_orphans(orphaned, RequestOutcome::kNoTenant);
+  prune_plans();
+  return status;
+}
+
+void InferenceServer::prune_plans() {
+  // Only routable devices count: a quarantined or dead device never serves
+  // its old generation again (reinstate_device resets it first).
+  u64 min_generation = ~u64{0};
+  for (std::size_t i = 0; i < devices_.size(); ++i)
+    if (routable(i))
+      min_generation =
+          std::min(min_generation, devices_[i]->device.device_generation());
+  if (min_generation == ~u64{0}) return;  // no routable device left
   std::lock_guard<std::mutex> lock(plan_mu_);
   for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
     it = it->first.second < min_generation ? plan_cache_.erase(it)
                                            : std::next(it);
   }
-  return status;
 }
 
 bool InferenceServer::evict_idle_tenant(std::size_t device_index) {
@@ -1072,9 +986,7 @@ bool InferenceServer::evict_idle_tenant(std::size_t device_index) {
     devices_[device_index]->tenant_count.fetch_sub(1,
                                                    std::memory_order_relaxed);
     ins_.evicted.inc();
-    DeviceNode& node = *devices_[device_index];
-    std::lock_guard<std::mutex> busy(node.busy);
-    node.device.close_session(victim->session);
+    close_session(device_index, victim->session);
     return true;
   }
   return false;
@@ -1252,18 +1164,16 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
   Shard& shard = table_.shard_for(tenant->id);
   std::vector<Request> batch;
   std::shared_ptr<const host::ExecutionPlan> plan;
-  bool open;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    open = tenant->open;
     // Cross-tenant batching: drain up to max_batch of this tenant's FIFO in
     // one wakeup. The tenant stays "scheduled" (owned by this worker) so no
     // other worker can reorder its secure-channel sequence numbers. A
-    // torn-down tenant (disconnect/reset while we sat in the ready queue)
-    // is drained whole — every promise resolves kNoTenant below.
+    // torn-down tenant (disconnect/reset/failover while we sat in the ready
+    // queue) takes no batch: the tail drains its whole FIFO with
+    // teardown_outcome.
     const std::size_t limit =
-        open ? std::max<std::size_t>(1, config_.max_batch)
-             : tenant->pending.size();
+        tenant->open ? std::max<std::size_t>(1, config_.max_batch) : 0;
     while (!tenant->pending.empty() && batch.size() < limit) {
       batch.push_back(std::move(tenant->pending.front()));
       tenant->pending.pop_front();
@@ -1280,26 +1190,6 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
     ins_.requests.inc(batch.size());
     ins_.batch_size.record(static_cast<double>(batch.size()));
     if (tenant->requests_counter) tenant->requests_counter->inc(batch.size());
-  }
-
-  if (!open) {
-    // Torn down while we sat in the ready queue. teardown_outcome says why:
-    // kNoTenant (disconnect/eviction/reset) or kDeviceFailover (the health
-    // monitor failed the tenant over) — either way every promise resolves.
-    RequestOutcome outcome;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      outcome = tenant->teardown_outcome;
-      tenant->scheduled = false;
-    }
-    for (Request& request : batch) {
-      InferenceResult result;
-      result.outcome = outcome;
-      if (outcome == RequestOutcome::kDeviceFailover)
-        result.device_status = accel::DeviceStatus::kUnavailable;
-      resolve_one(request, std::move(result));
-    }
-    return;
   }
 
   const Clock::time_point picked_up = Clock::now();
@@ -1327,7 +1217,7 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
   accel::DeviceStatus abort_status = accel::DeviceStatus::kOk;
   std::size_t abort_from = batch.size();
   bool wound = false;  // device died / completion lost → tenant fails over
-  {
+  if (!batch.empty()) {
     // The accelerator executes one command stream at a time.
     std::lock_guard<std::mutex> busy(node.busy);
     const double modeled_before = node.device.elapsed_ms();
@@ -1439,6 +1329,10 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
     resolve_one(batch[i], std::move(results[i]));
   }
   if (abort_from < batch.size()) {
+    // Counted before resolving, like drain_orphans: a caller holding the
+    // result must also see it in stats().
+    if (abort_outcome == RequestOutcome::kTimeout)
+      ins_.timeouts.inc(batch.size() - abort_from);
     for (std::size_t i = abort_from; i < batch.size(); ++i) {
       InferenceResult result;
       result.outcome = abort_outcome;
@@ -1448,8 +1342,6 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
       result.service_ms = MsDouble(done - picked_up).count();
       resolve_one(batch[i], std::move(result));
     }
-    if (abort_outcome == RequestOutcome::kTimeout)
-      ins_.timeouts.inc(batch.size() - abort_from);
   }
   // A wounded session tears the tenant down before the tail below, so the
   // drain resolves with teardown_outcome == kDeviceFailover and a failover
@@ -1459,6 +1351,7 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
   std::deque<Request> orphaned;
   RequestOutcome orphan_outcome = RequestOutcome::kNoTenant;
   bool wake = false;
+  bool handoff = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     tenant->last_activity = done;
@@ -1481,17 +1374,13 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
       // the migrating thread between replay batches instead of a worker.
       tenant->scheduled = false;
     }
+    // Every branch above releases a draining tenant (it never re-enters a
+    // ready queue): wake the migrating thread waiting to claim it.
+    handoff = tenant->draining;
   }
   if (wake) work_sem_.release();
-  if (!orphaned.empty()) {
-    std::size_t orphaned_bytes = 0;
-    for (const Request& request : orphaned)
-      orphaned_bytes += request.charged_bytes;
-    admission_.release(orphaned.size(), orphaned_bytes);
-    if (orphan_outcome == RequestOutcome::kTimeout)
-      ins_.timeouts.inc(orphaned.size());
-    resolve_all(orphaned, orphan_outcome);
-  }
+  if (handoff) tenant->released.notify_one();
+  drain_orphans(orphaned, orphan_outcome);
 }
 
 // --- Fault tolerance / health ------------------------------------------------
@@ -1544,7 +1433,7 @@ void InferenceServer::maybe_promote_spares() {
     {
       std::lock_guard<std::mutex> lock(failover_mu_);
       for (const auto& [id, record] : failovers_)
-        if (record.has_content) warm.push_back(record.content);
+        if (record.model.content) warm.push_back(*record.model.content);
     }
     for (const store::ContentId& content :
          model_store_.hot_contents(config_.spare_prewarm_models))
@@ -1571,12 +1460,10 @@ void InferenceServer::maybe_promote_spares() {
     {
       std::lock_guard<std::mutex> lock(failover_mu_);
       for (auto& [id, record] : failovers_) {
-        if (!record.has_target && record.has_content &&
-            model_store_.contains(record.content,
-                                  node.device.store_binding())) {
+        if (!record.preferred_device && record.model.content &&
+            model_store_.contains(*record.model.content,
+                                  node.device.store_binding()))
           record.preferred_device = spare;
-          record.has_target = true;
-        }
       }
     }
     // The spare is routable now: the byte budget climbs back toward the
@@ -1675,31 +1562,18 @@ bool InferenceServer::fail_over_tenant(const std::shared_ptr<Tenant>& tenant) {
   const Clock::time_point start = Clock::now();
   FailoverRecord record;
   std::deque<Request> orphaned;
-  std::size_t device_index;
-  accel::SessionId session;
   {
     Shard& shard = table_.shard_for(tenant->id);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (!tenant->open) return false;  // raced with disconnect/reset/failover
-    tenant->open = false;
     tenant->teardown_outcome = RequestOutcome::kDeviceFailover;
-    // A worker that owns the tenant (scheduled) drains the remainder with
-    // teardown_outcome at its next pickup; an unowned queue drains here.
-    if (!tenant->scheduled) orphaned.swap(tenant->pending);
+    close_locked(*tenant, orphaned);
     shard.tenants.erase(tenant->id);
-    record.has_model = tenant->has_model_hash;
-    record.model_hash = tenant->model_hash;
-    record.has_content = tenant->model_content.has_value();
-    if (record.has_content) record.content = *tenant->model_content;
-    device_index = tenant->device_index;
-    session = tenant->session;
+    record.model = tenant->model;
   }
+  const std::size_t device_index = tenant->device_index;
   devices_[device_index]->tenant_count.fetch_sub(1, std::memory_order_relaxed);
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned)
-    orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  resolve_all(orphaned, RequestOutcome::kDeviceFailover);
+  drain_orphans(orphaned, RequestOutcome::kDeviceFailover);
   {
     std::lock_guard<std::mutex> lock(failover_mu_);
     failovers_.emplace(tenant->id, record);
@@ -1708,27 +1582,20 @@ bool InferenceServer::fail_over_tenant(const std::shared_ptr<Tenant>& tenant) {
   events_.record("failover", "tenant " + std::to_string(tenant->id) +
                                  " off device " +
                                  std::to_string(device_index));
-  // A quarantined (still answering) device gets its slot zeroized; a dead
-  // one took the keys down with its SRAM.
-  if (!faults_.dead(device_index)) {
-    DeviceNode& node = *devices_[device_index];
-    std::lock_guard<std::mutex> busy(node.busy);
-    node.device.close_session(session);
-  }
+  // A quarantined (still answering) device gets its slot zeroized.
+  close_session(device_index, tenant->session);
   // Pre-provision the sealed replica onto a surviving device so the
   // tenant's reconnect() finds its model already resident. Best-effort: a
   // model whose only replica lived on the dead device is unrecoverable
   // (that is the honest fail-stop story — see docs).
-  if (record.has_content) {
+  if (record.model.content) {
     const std::size_t target = pick_routable_device();
     if (target < devices_.size() &&
-        replicate_model(record.content, target) == accel::DeviceStatus::kOk) {
+        replicate_model(*record.model.content, target) ==
+            accel::DeviceStatus::kOk) {
       std::lock_guard<std::mutex> lock(failover_mu_);
       auto it = failovers_.find(tenant->id);
-      if (it != failovers_.end()) {
-        it->second.preferred_device = target;
-        it->second.has_target = true;
-      }
+      if (it != failovers_.end()) it->second.preferred_device = target;
     }
   }
   ins_.failover_ms.record(
@@ -1747,20 +1614,9 @@ void InferenceServer::handle_device_down(std::size_t device_index) {
   });
   for (const auto& tenant : victims) fail_over_tenant(tenant);
   rescale_admission();
-  // Prune plans compiled for generations no routable device can reach:
-  // the quarantined/dead device's generations would otherwise pin full
-  // packed-weight-blob copies until a reset.
-  u64 min_generation = ~u64{0};
-  for (std::size_t i = 0; i < devices_.size(); ++i)
-    if (routable(i))
-      min_generation =
-          std::min(min_generation, devices_[i]->device.device_generation());
-  if (min_generation == ~u64{0}) return;  // no routable device left
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    it = it->first.second < min_generation ? plan_cache_.erase(it)
-                                           : std::next(it);
-  }
+  // The quarantined/dead device's generations would otherwise pin plans
+  // until a reset.
+  prune_plans();
 }
 
 void InferenceServer::rescale_admission() {
@@ -1802,13 +1658,7 @@ void InferenceServer::reap_deadlines() {
       tenant->pending.clear();
     }
   });
-  if (orphaned.empty()) return;
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned)
-    orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  ins_.timeouts.inc(orphaned.size());
-  resolve_all(orphaned, RequestOutcome::kTimeout);
+  drain_orphans(orphaned, RequestOutcome::kTimeout);
 }
 
 void InferenceServer::monitor_loop(std::stop_token stop) {

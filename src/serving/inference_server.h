@@ -61,7 +61,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -611,6 +613,13 @@ class InferenceServer {
         : device(std::move(id), ca, memory, entropy) {}
   };
 
+  /// What a tenant serves, as a failover needs it: the registered model's
+  /// hash, and the sealed replica (if any) a failover can restore from.
+  struct ModelState {
+    std::optional<crypto::Sha256Digest> hash;
+    std::optional<store::ContentId> content;
+  };
+
   struct Tenant {
     TenantId id = 0;
     std::size_t device_index = 0;
@@ -626,17 +635,17 @@ class InferenceServer {
     /// migrating thread owns the replay. Cleared by abort; a flipped entry
     /// is replaced wholesale, never un-drained.
     bool draining = false;
+    /// Waited on under the shard lock: the run_batch tail signals it when it
+    /// hands a draining tenant back, so the migrating thread claims the
+    /// tenant without polling.
+    std::condition_variable released;
     /// Outcome the worker uses when draining a closed tenant's queue.
     /// kNoTenant for ordinary teardown (disconnect, eviction, reset);
     /// kDeviceFailover when the health monitor tore the tenant down.
     RequestOutcome teardown_outcome = RequestOutcome::kNoTenant;
-    /// Model bookkeeping for failover: what the tenant had loaded, and the
-    /// sealed replica (if any) a failover can restore from. Written under
-    /// the shard lock by load_model / load_model_from_store /
+    /// Written under the shard lock by load_model, restore_model and
     /// seal_tenant_model.
-    bool has_model_hash = false;
-    crypto::Sha256Digest model_hash{};
-    std::optional<store::ContentId> model_content;
+    ModelState model;
     /// Last time this tenant touched the server (connect, load, submit,
     /// batch completion) — the LRU clock for idle eviction.
     Clock::time_point last_activity;
@@ -666,13 +675,48 @@ class InferenceServer {
   void resolve_one(Request& request, InferenceResult result);
   std::future<InferenceResult> immediate_result(u64 trace_id, TenantId tenant,
                                                 RequestOutcome outcome);
-  /// Resolves a drained request queue with `outcome` (no device involved).
-  void resolve_all(std::deque<Request>& requests, RequestOutcome outcome);
+  /// Resolves orphaned (never executed) requests with `outcome`: returns
+  /// their admission charge, counts kTimeout, and clears the queue.
+  void drain_orphans(std::deque<Request>& requests, RequestOutcome outcome);
+  /// Closes a tenant under its shard lock. Its queue moves to `orphaned`
+  /// unless the tenant is scheduled: then its owner (a worker, or the
+  /// migrating thread) drains it with teardown_outcome.
+  static void close_locked(Tenant& tenant, std::deque<Request>& orphaned);
+
+  /// Opens a session on `device_index`: fault gate, InitSession and the
+  /// bounded idle-eviction retry, all under the device's busy lock.
+  /// `on_open` runs inside that same hold, so reset_device (which purges
+  /// tenants under the lock) cannot slip in between the session and its
+  /// registration. `on_open` returning false gives the session back and
+  /// answers kNoSession.
+  accel::InitSessionResponse open_session(
+      std::size_t device_index, const crypto::AffinePoint& user_ephemeral,
+      bool integrity, const std::function<bool(accel::SessionId)>& on_open);
+  /// Registers a tenant bound to `session` on `device_index`; nullptr when
+  /// the id is already live.
+  std::shared_ptr<Tenant> register_tenant(TenantId id, std::size_t device_index,
+                                          accel::SessionId session,
+                                          const ModelState& model);
+  /// Restores sealed model `content`, registered as `hash`, into the
+  /// tenant's session: replicates to its device when missing, unseals under
+  /// the fault gate, checks the descriptor against the registered network,
+  /// then pins the plan and model state.
+  accel::DeviceStatus restore_model(Tenant& tenant,
+                                    const store::ContentId& content,
+                                    const crypto::Sha256Digest& hash);
+  /// CloseSession (keys zeroized) under the busy lock; a dead device took
+  /// its keys down with its SRAM and answers kUnavailable.
+  accel::DeviceStatus close_session(std::size_t device_index,
+                                    accel::SessionId session);
+  /// Drops cached plans compiled for generations below every routable
+  /// device's: each pins a full packed-weight-blob copy.
+  void prune_plans();
 
   /// Looks up a live tenant (shard lock taken and released inside).
   std::shared_ptr<Tenant> find_tenant(TenantId tenant);
-  /// Stamps the LRU clock under the tenant's shard lock.
-  void touch(const std::shared_ptr<Tenant>& tenant);
+  /// The shared registered network for `hash` (nullptr if unregistered).
+  std::shared_ptr<const host::FuncNetwork> cached_net(
+      const crypto::Sha256Digest& hash);
 
   /// Evicts the least-recently-active idle tenant on `device_index` (session
   /// closed + zeroized device-side). False when every tenant there is busy.
@@ -705,12 +749,9 @@ class InferenceServer {
 
   /// What reconnect() needs to resume a failed-over tenant.
   struct FailoverRecord {
-    std::size_t preferred_device = 0;  ///< Pre-provisioned target (if any).
-    bool has_target = false;
-    bool has_content = false;
-    store::ContentId content{};  ///< Sealed model replica in the store.
-    bool has_model = false;
-    crypto::Sha256Digest model_hash{};
+    /// Device the sealed replica was pre-provisioned to.
+    std::optional<std::size_t> preferred_device;
+    ModelState model;
   };
 
   /// Monitor thread: fail-stop detection, down-device handling (tenant
@@ -729,8 +770,7 @@ class InferenceServer {
   /// race — only the caller that flips `open` does the bookkeeping. Returns
   /// whether this call did the transition. Caller must hold no lock.
   bool fail_over_tenant(const std::shared_ptr<Tenant>& tenant);
-  /// Rescales the admission byte budget to the routable device count and
-  /// prunes plan-cache generations no routable device can reach.
+  /// Rescales the admission byte budget to the routable device count.
   void rescale_admission();
   /// Resolves expired deadlines of tenants no worker currently owns.
   void reap_deadlines();

@@ -173,6 +173,7 @@ TEST(Mpu, AlignmentEnforced) {
 TEST(Mpu, TraceRecordsAccesses) {
   UntrustedMemory mem;
   MemoryProtectionUnit mpu(mem, test_key(0), test_key(1), false);
+  mpu.set_trace_enabled(true);
   Bytes data(512);
   mpu.write(0, data, 0);
   Bytes out(512);
@@ -193,6 +194,8 @@ TEST_P(MpuTest, StreamsMatchMonolithicReadWriteIncludingTrace) {
   MemoryProtectionUnit mono(mono_mem, test_key(0), test_key(1), integrity());
   MemoryProtectionUnit streamed(stream_mem, test_key(0), test_key(1),
                                 integrity());
+  mono.set_trace_enabled(true);
+  streamed.set_trace_enabled(true);
   constexpr u64 kBase = 0x2000;
   constexpr std::size_t kLogical = 5000;  // neither chunk- nor block-aligned
   Bytes plain(kLogical);
@@ -221,6 +224,7 @@ TEST_P(MpuTest, StreamsMatchMonolithicReadWriteIncludingTrace) {
     const u64 slot0 = MemoryProtectionUnit::kMacRegionBase + kBase / 512 * 8;
     EXPECT_EQ(mono_mem.read(slot0, 10 * 8), stream_mem.read(slot0, 10 * 8));
   }
+  ASSERT_FALSE(mono.access_trace().empty());
   EXPECT_EQ(mono.access_trace(), streamed.access_trace());
 
   mono.clear_trace();

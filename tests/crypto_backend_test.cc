@@ -541,6 +541,7 @@ TEST(ZeroAlloc, MpuWriteSteadyState) {
   enc_key[0] = 1;
   mac_key[0] = 2;
   accel::MemoryProtectionUnit mpu(mem, enc_key, mac_key, /*integrity=*/true);
+  mpu.set_trace_enabled(true);  // the traced path must not allocate either
 
   Bytes data(1024, 0x5a);
   // Warm up: touch the data and MAC pages and grow the trace vector's

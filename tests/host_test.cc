@@ -527,6 +527,7 @@ TEST(SideChannel, MemoryTraceIndependentOfData) {
 
   auto trace_of = [](const FuncNetwork& net, const functional::Tensor& input) {
     TestBench bench;
+    bench.device.set_access_trace(true);
     const auto output = bench.run(net, input, true, /*attest=*/false);
     EXPECT_TRUE(output.has_value());
     return bench.device.access_trace();

@@ -441,6 +441,9 @@ TEST(Migration, TargetDeathMidMigrationAbortsAndTenantResumesOnSource) {
     ASSERT_TRUE(output.has_value()) << "request " << r;
     EXPECT_EQ(*output, host::reference_run(net, inputs[r])) << "request " << r;
   }
+  // Every parked request's admission charge came back with the drain.
+  EXPECT_EQ(server.pending_requests(), 0u);
+  EXPECT_EQ(server.pending_bytes(), 0u);
   EXPECT_EQ(server.tenant_session(client.tenant).first, source);
   EXPECT_FALSE(server.failover_pending(client.tenant));
   const ServerStats stats = server.stats();

@@ -643,5 +643,77 @@ TEST(PlanCacheGeneration, DeviceResetInvalidatesCachedPlans) {
   EXPECT_EQ(*output, host::reference_run(net, input));
 }
 
+TEST(PlanCacheGeneration, DeviceResetResolvesOwnedQueue) {
+  // Regression: reset_device cleared the queue of a tenant that sat in a
+  // ready queue (scheduled), destroying its promises unresolved (.get()
+  // threw broken_promise) and leaving their admission charges counted for
+  // good. A scheduled tenant's queue belongs to its owner, which drains it
+  // kNoTenant at pickup.
+  //
+  // One worker, two devices: the worker is wedged in a batch on the other
+  // device, so the victim's queued requests wait in the ready queue while
+  // the reset purges it.
+  ServerFixture fx;
+  InferenceServer server = fx.make(2, 1);
+  const FuncNetwork net = small_cnn(820);
+  TenantClient blocker, victim;
+  ASSERT_TRUE(blocker.connect(server, fx.ca.public_key(), 821, true));
+  ASSERT_TRUE(blocker.load(server, net));
+  ASSERT_TRUE(victim.connect(server, fx.ca.public_key(), 822, true));
+  ASSERT_TRUE(victim.load(server, net));
+  ASSERT_NE(blocker.device_index, victim.device_index);
+
+  constexpr std::size_t kQueued = 8;
+  std::vector<crypto::SealedRecord> records;
+  for (std::size_t r = 0; r < kQueued; ++r)
+    records.push_back(
+        victim.user->seal(tensor_bytes(random_input(net, 830 + r))));
+  server.faults().script_latency(blocker.device_index, 300.0, 1);
+  auto blocked = server.submit_async(
+      blocker.tenant, blocker.user->seal(tensor_bytes(random_input(net, 829))));
+  // Admission is returned at worker pickup: from here the worker is inside
+  // the wedged batch.
+  while (server.pending_requests() != 0) std::this_thread::yield();
+
+  std::vector<std::future<InferenceResult>> futures;
+  for (auto& record : records)
+    futures.push_back(server.submit_async(victim.tenant, std::move(record)));
+  EXPECT_EQ(server.pending_requests(), kQueued);
+  ASSERT_EQ(server.reset_device(victim.device_index), DeviceStatus::kOk);
+
+  for (std::size_t r = 0; r < kQueued; ++r) {
+    InferenceResult result;
+    ASSERT_NO_THROW(result = futures[r].get())
+        << "request " << r << " was destroyed without being resolved";
+    EXPECT_EQ(result.outcome, RequestOutcome::kNoTenant)
+        << "request " << r << ": " << outcome_name(result.outcome);
+  }
+  EXPECT_EQ(blocked.get().outcome, RequestOutcome::kOk);
+  EXPECT_EQ(server.pending_requests(), 0u);
+  EXPECT_EQ(server.pending_bytes(), 0u);
+}
+
+TEST(ServingMemory, ServedSessionRecordsNoAccessTrace) {
+  // The MPU access trace is an audit hook that callers opt into. A serving
+  // session never asks for it, so it must stay empty however long the
+  // session lives, or its memory grows with every access.
+  ServerFixture fx;
+  InferenceServer server = fx.make(1, 1);
+  const FuncNetwork net = small_cnn(840);
+  TenantClient client;
+  ASSERT_TRUE(client.connect(server, fx.ca.public_key(), 841, true));
+  ASSERT_TRUE(client.load(server, net));
+  for (std::size_t r = 0; r < 16; ++r)
+    ASSERT_EQ(server.submit(client.tenant,
+                            client.user->seal(
+                                tensor_bytes(random_input(net, 850 + r))))
+                  .outcome,
+              RequestOutcome::kOk);
+  const auto [device, session] = server.tenant_session(client.tenant);
+  EXPECT_GT(server.device(device).mpu_byte_counters().bytes_encrypted.load(),
+            0u);
+  EXPECT_TRUE(server.device(device).access_trace(session).empty());
+}
+
 }  // namespace
 }  // namespace guardnn::serving
