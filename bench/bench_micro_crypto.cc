@@ -1,6 +1,7 @@
 // Microbenchmarks for the crypto substrate (google-benchmark): AES-128
-// block/CTR throughput, SHA-256, CMAC memory-MAC, and the public-key
-// operations behind InitSession/SignOutput.
+// block/CTR throughput, SHA-256, CMAC memory-MAC, the public-key operations
+// behind InitSession/SignOutput, and the P-256 layers under them (field
+// multiply, fixed-base scalar multiply).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -9,6 +10,7 @@
 #include "crypto/ecdh.h"
 #include "crypto/ecdsa.h"
 #include "crypto/mem_mac.h"
+#include "crypto/p256.h"
 #include "crypto/sha256.h"
 
 namespace guardnn::crypto {
@@ -191,6 +193,33 @@ void BM_EcdhAgreement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcdhAgreement)->Unit(benchmark::kMillisecond);
+
+/// Run-time field elements (Montgomery form, < p) so nothing folds away.
+std::array<U256, 2> bench_field_elements() {
+  HmacDrbg drbg(Bytes{7});
+  return {reduce_once(U256::from_bytes(drbg.generate(32)), kP256Field),
+          reduce_once(U256::from_bytes(drbg.generate(32)), kP256Field)};
+}
+
+void BM_P256FieldMul(benchmark::State& state) {
+  auto [a, b] = bench_field_elements();
+  for (auto _ : state) {
+    a = mont_mul(a, b, kP256Field);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_P256FieldMul);
+
+void BM_P256BaseMult(benchmark::State& state) {
+  HmacDrbg drbg(Bytes{8});
+  U256 k = ecdsa_generate_key(drbg).private_key;
+  for (auto _ : state) {
+    const AffinePoint pt = ec_scalar_base_mult(k);
+    k.limb[0] ^= pt.x.limb[0];  // chain iterations through the result
+    benchmark::DoNotOptimize(k);
+  }
+}
+BENCHMARK(BM_P256BaseMult)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace guardnn::crypto

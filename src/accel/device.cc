@@ -171,10 +171,11 @@ InitSessionResponse GuardNnDevice::init_session(
 
   // Fresh ephemeral share and transcript-bound session keys.
   const crypto::EcdhKeyPair ephemeral = crypto::ecdh_generate_key(drbg_);
-  const crypto::U256 shared =
+  crypto::U256 shared =
       crypto::ecdh_shared_secret(ephemeral.private_key, user_ephemeral);
   const crypto::SessionKeys keys =
       crypto::derive_session_keys(shared, user_ephemeral, ephemeral.public_key);
+  secure_zero(shared.limb.data(), sizeof(shared.limb));
 
   // Fresh random memory-protection keys: data from a previous session is
   // unreadable afterwards, even by the same user.
@@ -860,10 +861,11 @@ DeviceStatus GuardNnDevice::export_for_device(const store::SealedBlob& blob,
   DeviceStatus status = DeviceStatus::kOk;
   try {
     const crypto::EcdhKeyPair ephemeral = crypto::ecdh_generate_key(drbg_);
-    const crypto::U256 shared =
+    crypto::U256 shared =
         crypto::ecdh_shared_secret(ephemeral.private_key, target.ephemeral);
     crypto::AesKey transport = provision_transport_key(
         shared, ephemeral.public_key, target.ephemeral);
+    secure_zero(shared.limb.data(), sizeof(shared.limb));
 
     // The wrapped blob is addressed to the *target's* binding: only the
     // device that proves that identity derives the same transport key, and
@@ -907,10 +909,11 @@ DeviceStatus GuardNnDevice::provision_finish(const store::SealedBlob& wrapped,
     status = DeviceStatus::kBadRecord;
   } else {
     try {
-      const crypto::U256 shared = crypto::ecdh_shared_secret(
+      crypto::U256 shared = crypto::ecdh_shared_secret(
           pending_provision_->private_key, grant.ephemeral);
       crypto::AesKey transport = provision_transport_key(
           shared, grant.ephemeral, pending_provision_->public_key);
+      secure_zero(shared.limb.data(), sizeof(shared.limb));
       store::SealedBlobReader unwrapper(transport, store_binding_, wrapped);
       secure_zero(transport.data(), transport.size());
       if (unwrapper.status() == store::SealStatus::kOk) {
@@ -928,11 +931,9 @@ DeviceStatus GuardNnDevice::provision_finish(const store::SealedBlob& wrapped,
     }
   }
 
-  // One-shot handshake: consume (and wipe) the pending share on *every*
+  // One-shot handshake: consume (and so wipe) the pending share on *every*
   // outcome, so a failed attempt cannot be retried against the same
   // ephemeral.
-  secure_zero(pending_provision_->private_key.limb.data(),
-              sizeof(pending_provision_->private_key.limb));
   pending_provision_.reset();
   return status;
 }
@@ -944,11 +945,7 @@ DeviceStatus GuardNnDevice::reset() {
     if (slot.session && slot.active) slot.session->zeroize();
     slot.active = false;
   }
-  if (pending_provision_) {
-    secure_zero(pending_provision_->private_key.limb.data(),
-                sizeof(pending_provision_->private_key.limb));
-    pending_provision_.reset();
-  }
+  pending_provision_.reset();  // wipes the pending ECDHE share
   current_session_.store(kInvalidSession, std::memory_order_relaxed);
   verified_blobs_.clear();
   generation_ += 1;

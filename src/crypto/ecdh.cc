@@ -8,8 +8,10 @@
 namespace guardnn::crypto {
 
 EcdhKeyPair ecdh_generate_key(HmacDrbg& drbg) {
-  const EcdsaKeyPair kp = ecdsa_generate_key(drbg);
-  return EcdhKeyPair{kp.private_key, kp.public_key};
+  EcdsaKeyPair kp = ecdsa_generate_key(drbg);
+  EcdhKeyPair out{kp.private_key, kp.public_key};
+  secure_zero(kp.private_key.limb.data(), sizeof(kp.private_key.limb));
+  return out;
 }
 
 U256 ecdh_shared_secret(const U256& private_key, const AffinePoint& peer_public) {

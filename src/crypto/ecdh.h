@@ -11,9 +11,13 @@
 
 namespace guardnn::crypto {
 
+/// An ephemeral key pair. Every copy wipes its private scalar when it is
+/// destroyed, so a handshake's secret does not outlive the object holding it.
 struct EcdhKeyPair {
   U256 private_key;
   AffinePoint public_key;
+
+  ~EcdhKeyPair() { secure_zero(private_key.limb.data(), sizeof(private_key.limb)); }
 };
 
 /// Derived session keys: AES-128 session key and an HMAC key.
@@ -25,7 +29,8 @@ struct SessionKeys {
 /// Generates an ephemeral ECDH key pair.
 EcdhKeyPair ecdh_generate_key(HmacDrbg& drbg);
 
-/// Computes the raw shared secret (x-coordinate of d*Q_peer).
+/// Computes the raw shared secret (x-coordinate of d*Q_peer) in constant
+/// time. The caller wipes it once the session keys are derived.
 /// Throws std::invalid_argument on the point at infinity (degenerate peer key).
 U256 ecdh_shared_secret(const U256& private_key, const AffinePoint& peer_public);
 

@@ -7,26 +7,27 @@
 namespace guardnn::crypto {
 namespace {
 
-// Reduces a 32-byte digest into a scalar mod n (simple truncation + reduce,
-// adequate for a 256-bit curve with a 256-bit hash).
+// Reduces a 32-byte digest into a scalar mod n (the digest is as wide as n,
+// so one conditional subtraction reduces it).
 U256 digest_to_scalar(const Sha256Digest& digest) {
-  const U256 z = U256::from_bytes(BytesView(digest.data(), digest.size()));
-  U512 wide;
-  for (int i = 0; i < 4; ++i) wide.limb[i] = z.limb[i];
-  return mod_reduce(wide, p256().n);
+  return reduce_once(U256::from_bytes(BytesView(digest.data(), digest.size())),
+                     kP256Order);
 }
 
-// Deterministic nonce derivation in the spirit of RFC 6979: an HMAC-DRBG
-// keyed by (private key || digest) generates candidate nonces.
+// Deterministic nonce derivation in the spirit of RFC 6979 (not bit-exact):
+// an HMAC-DRBG keyed by (private key || digest) generates candidate nonces.
 U256 derive_nonce(const U256& private_key, const Sha256Digest& digest) {
   Bytes seed = private_key.to_bytes();
   seed.insert(seed.end(), digest.begin(), digest.end());
   HmacDrbg drbg(seed, Bytes{'e', 'c', 'd', 's', 'a', '-', 'k'});
-  const U256& n = p256().n;
+  secure_zero(seed.data(), seed.size());
   for (;;) {
-    const Bytes candidate = drbg.generate(32);
-    U256 k = U256::from_bytes(candidate);
-    if (!k.is_zero() && cmp(k, n) < 0) return k;
+    Bytes candidate = drbg.generate(32);
+    const U256 k = U256::from_bytes(candidate);
+    secure_zero(candidate.data(), candidate.size());
+    U256 unused;
+    const u64 below_n = sub(unused, k, kP256Order.m);
+    if (!k.is_zero() && below_n) return k;
   }
 }
 
@@ -61,21 +62,22 @@ EcdsaKeyPair ecdsa_generate_key(HmacDrbg& drbg) {
 }
 
 EcdsaSignature ecdsa_sign_digest(const U256& private_key, const Sha256Digest& digest) {
-  const U256& n = p256().n;
   const U256 z = digest_to_scalar(digest);
+  const U256 d = reduce_once(private_key, kP256Order);
   Sha256Digest tweaked = digest;
   for (;;) {
-    const U256 k = derive_nonce(private_key, tweaked);
-    const AffinePoint kg = ec_scalar_base_mult(k);
-    U512 rx_wide;
-    for (int i = 0; i < 4; ++i) rx_wide.limb[i] = kg.x.limb[i];
-    const U256 r = mod_reduce(rx_wide, n);
+    U256 k = derive_nonce(private_key, tweaked);
+    const U256 r = reduce_once(ec_scalar_base_mult(k).x, kP256Order);
+    U256 k_inv = inv_mod(k, kP256Order);
+    const U256 s = mul_mod(k_inv, add_mod(z, mul_mod(r, d, kP256Order), kP256Order.m),
+                           kP256Order);
+    secure_zero(&k, sizeof(k));
+    secure_zero(&k_inv, sizeof(k_inv));
+    // Both are extremely unlikely; re-derive the nonce with a tweak.
     if (r.is_zero()) {
-      tweaked[0] ^= 0x01;  // Extremely unlikely; re-derive with a tweak.
+      tweaked[0] ^= 0x01;
       continue;
     }
-    const U256 k_inv = inv_mod_prime(k, n);
-    const U256 s = mul_mod(k_inv, add_mod(z, mul_mod(r, private_key, n), n), n);
     if (s.is_zero()) {
       tweaked[0] ^= 0x02;
       continue;
@@ -96,15 +98,13 @@ bool ecdsa_verify_digest(const AffinePoint& public_key, const Sha256Digest& dige
   if (cmp(sig.r, n) >= 0 || cmp(sig.s, n) >= 0) return false;
 
   const U256 z = digest_to_scalar(digest);
-  const U256 s_inv = inv_mod_prime(sig.s, n);
-  const U256 u1 = mul_mod(z, s_inv, n);
-  const U256 u2 = mul_mod(sig.r, s_inv, n);
+  const U256 s_inv = inv_mod(sig.s, kP256Order);
+  const U256 u1 = mul_mod(z, s_inv, kP256Order);
+  const U256 u2 = mul_mod(sig.r, s_inv, kP256Order);
   const AffinePoint point =
       ec_add(ec_scalar_base_mult(u1), ec_scalar_mult(u2, public_key));
   if (point.infinity) return false;
-  U512 x_wide;
-  for (int i = 0; i < 4; ++i) x_wide.limb[i] = point.x.limb[i];
-  return mod_reduce(x_wide, n) == sig.r;
+  return reduce_once(point.x, kP256Order) == sig.r;
 }
 
 bool ecdsa_verify(const AffinePoint& public_key, BytesView message,

@@ -4,6 +4,12 @@
 // manufacturer embeds a per-device ECDSA key pair (SK_Accel / PK_Accel) and
 // signs the public key with its CA key; sessions are established with ECDHE
 // (paper Section II-C, Table I).
+//
+// Scalar multiplication runs in constant time: points are kept in projective
+// coordinates and combined only with the complete addition and doubling
+// formulas of Renes, Costello and Batina (2016), which have no exceptional
+// cases, and the scalar is consumed in fixed 4-bit windows whose table
+// entries are fetched by a masked scan of the whole table.
 #pragma once
 
 #include <optional>
@@ -11,6 +17,14 @@
 #include "crypto/bigint.h"
 
 namespace guardnn::crypto {
+
+/// Montgomery contexts for the field prime p and the group order n.
+inline constexpr MontModulus kP256Field{
+    U256{{0xffffffffffffffffULL, 0x00000000ffffffffULL, 0x0000000000000000ULL,
+          0xffffffff00000001ULL}}};
+inline constexpr MontModulus kP256Order{
+    U256{{0xf3b9cac2fc632551ULL, 0xbce6faada7179e84ULL, 0xffffffffffffffffULL,
+          0xffffffff00000000ULL}}};
 
 /// Curve parameters for P-256: y^2 = x^3 - 3x + b over GF(p).
 struct P256Params {
@@ -47,17 +61,13 @@ bool on_curve(const AffinePoint& pt);
 /// Point addition (complete: handles doubling, inverses, infinity).
 AffinePoint ec_add(const AffinePoint& a, const AffinePoint& b);
 
-/// Scalar multiplication k*P using Jacobian coordinates internally
-/// (double-and-add; fast path for simulation-side verification).
+/// k*P in constant time: a fixed 4-bit window over all 256 bits of k, with
+/// a 16-entry table of multiples of P built per call.
 AffinePoint ec_scalar_mult(const U256& k, const AffinePoint& point);
 
-/// Montgomery-ladder scalar multiplication: fixed double+add schedule per
-/// bit regardless of the key, the structure a hardware implementation would
-/// use against timing side channels. Functionally identical to
-/// ec_scalar_mult (property-tested).
-AffinePoint ec_scalar_mult_ladder(const U256& k, const AffinePoint& point);
-
-/// k*G for the P-256 generator.
+/// k*G for the P-256 generator, in constant time: one table of j * 16^i * G
+/// (64 windows x 16 entries, 96 KiB, built on first use) and 64 complete
+/// additions, with no doublings.
 AffinePoint ec_scalar_base_mult(const U256& k);
 
 /// Serializes as uncompressed SEC1 (0x04 || X || Y), 65 bytes.

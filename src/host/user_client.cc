@@ -31,10 +31,12 @@ bool RemoteUser::complete_session(const accel::InitSessionResponse& response) {
   if (!crypto::ecdsa_verify(*device_identity_, transcript, response.signature))
     return false;
 
-  const crypto::U256 shared =
+  crypto::U256 shared =
       crypto::ecdh_shared_secret(ephemeral_->private_key, response.device_ephemeral);
   const crypto::SessionKeys keys = crypto::derive_session_keys(
       shared, ephemeral_->public_key, response.device_ephemeral);
+  secure_zero(shared.limb.data(), sizeof(shared.limb));
+  ephemeral_.reset();  // the handshake is done: wipe the ephemeral scalar
   to_device_.emplace(keys);
   from_device_.emplace(keys);
   expected_chain_.reset();

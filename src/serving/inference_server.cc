@@ -1317,6 +1317,17 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
     }
   }
 
+  // Deadline/retry-budget expiry drains the tenant's whole FIFO: the channel
+  // stays gapless and the client retries the same records in order. The
+  // queue is taken before any future of this batch resolves, so a retry the
+  // client sends after seeing its timeout queues behind the drain instead of
+  // being drained with it.
+  std::deque<Request> expired;
+  if (abort_outcome == RequestOutcome::kTimeout) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (tenant->open) expired.swap(tenant->pending);
+  }
+
   const Clock::time_point done = Clock::now();
   for (std::size_t i = 0; i < abort_from; ++i) {
     using MsDouble = std::chrono::duration<double, std::milli>;
@@ -1343,6 +1354,7 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
       resolve_one(batch[i], std::move(result));
     }
   }
+  drain_orphans(expired, RequestOutcome::kTimeout);
   // A wounded session tears the tenant down before the tail below, so the
   // drain resolves with teardown_outcome == kDeviceFailover and a failover
   // record is registered for reconnect().
@@ -1358,13 +1370,6 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
     if (!tenant->open) {
       orphaned.swap(tenant->pending);
       orphan_outcome = tenant->teardown_outcome;
-      tenant->scheduled = false;
-    } else if (abort_outcome == RequestOutcome::kTimeout) {
-      // Deadline/retry-budget expiry drains the tenant's whole FIFO: the
-      // channel stays gapless and the client retries the same records in
-      // order.
-      orphaned.swap(tenant->pending);
-      orphan_outcome = RequestOutcome::kTimeout;
       tenant->scheduled = false;
     } else if (!tenant->pending.empty() && !tenant->draining) {
       shard.ready.push_back(tenant);

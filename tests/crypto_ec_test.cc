@@ -4,6 +4,7 @@
 #include "crypto/ecdh.h"
 #include "crypto/ecdsa.h"
 #include "crypto/p256.h"
+#include "p256_oracle.h"
 
 namespace guardnn::crypto {
 namespace {
@@ -70,7 +71,7 @@ TEST(P256, ScalarComposes) {
   const U256 a = U256::from_u64(1001);
   const U256 b = U256::from_u64(2002);
   const AffinePoint bg = ec_scalar_base_mult(b);
-  const U256 ab = mul_mod(a, b, p256().n);
+  const U256 ab = mul_mod(a, b, kP256Order);
   EXPECT_EQ(ec_scalar_mult(a, bg), ec_scalar_base_mult(ab));
 }
 
@@ -99,33 +100,62 @@ TEST(P256, DecodeRejectsMalformed) {
 }
 
 
-TEST(P256, LadderMatchesDoubleAndAdd) {
+// Differential tests against the variable-time Jacobian double-and-add of
+// p256_oracle.h, for both the variable-base and the fixed-base multiply.
+U256 random_scalar(HmacDrbg& drbg) {
+  return reduce_once(U256::from_bytes(drbg.generate(32)), kP256Order);
+}
+
+TEST(P256, ScalarMultMatchesDoubleAndAdd) {
   const AffinePoint g = generator();
-  for (u64 k : {1ULL, 2ULL, 3ULL, 255ULL, 65537ULL, 123456789ULL}) {
-    EXPECT_EQ(ec_scalar_mult_ladder(U256::from_u64(k), g),
-              ec_scalar_mult(U256::from_u64(k), g))
-        << "k=" << k;
+  for (u64 k : {1ULL, 2ULL, 3ULL, 15ULL, 16ULL, 17ULL, 255ULL, 65537ULL, 123456789ULL}) {
+    const AffinePoint expected = oracle::scalar_mult(U256::from_u64(k), g);
+    EXPECT_EQ(ec_scalar_mult(U256::from_u64(k), g), expected) << "k=" << k;
+    EXPECT_EQ(ec_scalar_base_mult(U256::from_u64(k)), expected) << "k=" << k;
   }
 }
 
-TEST(P256, LadderMatchesOnRandomScalars) {
+TEST(P256, ScalarMultMatchesOracleOnRandomScalarsAndPoints) {
   HmacDrbg drbg = test_drbg(40);
   const AffinePoint g = generator();
   for (int i = 0; i < 4; ++i) {
-    const Bytes raw = drbg.generate(32);
-    U256 k = U256::from_bytes(raw);
-    U512 w;
-    for (int j = 0; j < 4; ++j) w.limb[j] = k.limb[j];
-    k = mod_reduce(w, p256().n);
-    EXPECT_EQ(ec_scalar_mult_ladder(k, g), ec_scalar_mult(k, g));
+    const AffinePoint point = oracle::scalar_mult(random_scalar(drbg), g);
+    const U256 k = random_scalar(drbg);
+    EXPECT_EQ(ec_scalar_mult(k, point), oracle::scalar_mult(k, point)) << k.to_hex();
+    EXPECT_EQ(ec_scalar_base_mult(k), oracle::scalar_mult(k, g)) << k.to_hex();
   }
 }
 
-TEST(P256, LadderHandlesEdgeScalars) {
+TEST(P256, ScalarMultHandlesEdgeScalars) {
+  HmacDrbg drbg = test_drbg(41);
   const AffinePoint g = generator();
-  EXPECT_TRUE(ec_scalar_mult_ladder(U256::zero(), g).infinity);
-  EXPECT_EQ(ec_scalar_mult_ladder(U256::one(), g), g);
-  EXPECT_TRUE(ec_scalar_mult_ladder(p256().n, g).infinity);
+  const AffinePoint point = oracle::scalar_mult(random_scalar(drbg), g);
+  const U256& n = p256().n;
+  U256 n_minus_1;
+  sub(n_minus_1, n, U256::one());
+  for (const U256& k : {U256::zero(), U256::one(), U256::from_u64(2), n_minus_1, n}) {
+    EXPECT_EQ(ec_scalar_mult(k, point), oracle::scalar_mult(k, point)) << k.to_hex();
+    EXPECT_EQ(ec_scalar_base_mult(k), oracle::scalar_mult(k, g)) << k.to_hex();
+  }
+  EXPECT_TRUE(ec_scalar_mult(n, point).infinity);
+  EXPECT_TRUE(ec_scalar_base_mult(U256::zero()).infinity);
+  AffinePoint neg = point;
+  neg.y = sub_mod(U256::zero(), point.y, p256().p);
+  EXPECT_EQ(ec_scalar_mult(n_minus_1, point), neg);
+}
+
+TEST(P256, CompleteAdditionMatchesOracle) {
+  HmacDrbg drbg = test_drbg(42);
+  const AffinePoint g = generator();
+  const AffinePoint a = oracle::scalar_mult(random_scalar(drbg), g);
+  const AffinePoint b = oracle::scalar_mult(random_scalar(drbg), g);
+  AffinePoint neg_a = a;
+  neg_a.y = sub_mod(U256::zero(), a.y, p256().p);
+  EXPECT_EQ(ec_add(a, b), oracle::point_add(a, b));
+  EXPECT_EQ(ec_add(a, a), oracle::point_add(a, a));  // doubling through add
+  EXPECT_TRUE(ec_add(a, neg_a).infinity);
+  EXPECT_EQ(ec_add(a, AffinePoint::at_infinity()), a);
+  EXPECT_TRUE(ec_add(AffinePoint::at_infinity(), AffinePoint::at_infinity()).infinity);
 }
 
 // RFC 6979 A.2.5 / NIST CAVP-style P-256 known-answer material. The private

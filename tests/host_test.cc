@@ -516,6 +516,17 @@ TEST(MaliciousHost, FakeDeviceFailsAttestation) {
   EXPECT_FALSE(user.attest_device(fake_device.get_pk()));
 }
 
+TEST(MaliciousHost, SessionResponseCannotBeReplayed) {
+  // complete_session() wipes the user's ephemeral scalar once the keys are
+  // derived, so the same InitSession response cannot complete a second time.
+  TestBench bench;
+  ASSERT_TRUE(bench.user.attest_device(bench.device.get_pk()));
+  const accel::InitSessionResponse response =
+      bench.device.init_session(bench.user.begin_session(), true);
+  ASSERT_TRUE(bench.user.complete_session(response));
+  EXPECT_FALSE(bench.user.complete_session(response));
+}
+
 TEST(SideChannel, MemoryTraceIndependentOfData) {
   // Paper Section II-A/Table I: the access pattern and timing are functions
   // of the (public) network structure only. Run the same network on two
